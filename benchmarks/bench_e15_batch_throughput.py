@@ -9,8 +9,11 @@ while keeping per-query probe/round accounting identical to the
 sequential path (asserted here on every measured run).
 
 Criteria (asserted): at the reference workload, batch size ≥ 256 yields
-at least 3× the queries/sec of a sequential ``query`` loop, and the two
-paths return identical results.
+at least 3× the queries/sec of a sequential ``query`` loop for
+Algorithm 1, and the two paths return identical results.  The
+non-adaptive LSH baseline has its own row at batch 256 with a ≥ 2× floor:
+there batching pays through bucket hashing, one ``sampled_bits_hash``
+call per (table, batch) instead of one per (query, table).
 
 Catalog of all experiments: ``docs/BENCHMARKS.md``.
 """
@@ -34,14 +37,18 @@ REPS = 3  # best-of timing for both paths (symmetric, robust to noise)
 INDEX_SPEC = IndexSpec(
     scheme="algorithm1", params={"gamma": 4.0, "rounds": K, "c1": 8.0}, seed=11
 )
+# LSH builds every bucket directory eagerly: nothing to warm.
+LSH_SPEC = IndexSpec(scheme="lsh", params={"gamma": 4.0}, seed=11)
+LSH_BATCH = 256
 
 
-def _build_index(db):
-    index = ANNIndex.from_spec(db, INDEX_SPEC)
-    # Warm the one-time preprocessing (per-level database sketches) so the
-    # measurement isolates marginal per-query cost on both paths.
-    for i in range(index.scheme.params.base.levels + 1):
-        index.scheme.level_sketches.accurate_db(i)
+def _build_index(db, spec=INDEX_SPEC):
+    index = ANNIndex.from_spec(db, spec)
+    if spec.scheme == "algorithm1":
+        # Warm the one-time preprocessing (per-level database sketches) so
+        # the measurement isolates marginal per-query cost on both paths.
+        for i in range(index.scheme.params.base.levels + 1):
+            index.scheme.level_sketches.accurate_db(i)
     return index
 
 
@@ -58,13 +65,13 @@ def e15_workload():
     return db, queries
 
 
-def _best_rate(run, batch_size, db):
+def _best_rate(run, batch_size, db, spec):
     """Best-of-REPS queries/sec, a fresh index per rep so every rep pays
     the same cold-cache marginal cost (reusing an index would let later
     reps answer from fully warm table caches on both paths)."""
     best = 0.0
     for _ in range(REPS):
-        index = _build_index(db)
+        index = _build_index(db, spec)
         start = time.perf_counter()
         results = run(index)
         elapsed = time.perf_counter() - start
@@ -72,41 +79,53 @@ def _best_rate(run, batch_size, db):
     return best, results, index
 
 
+def _measure(db, queries, spec):
+    """One table row: both paths timed, results compared bitwise."""
+    batch_size = len(queries)
+    seq_rate, seq_results, _ = _best_rate(
+        lambda index: [index.query_packed(q) for q in queries], batch_size, db, spec
+    )
+    bat_rate, bat_results, bat_index = _best_rate(
+        lambda index: index.query_batch(queries), batch_size, db, spec
+    )
+    identical = len(seq_results) == len(bat_results) and all(
+        s.answer_index == b.answer_index
+        and s.probes == b.probes
+        and s.rounds == b.rounds
+        and s.probes_per_round == b.probes_per_round
+        for s, b in zip(seq_results, bat_results)
+    )
+    stats = bat_index.last_batch_stats
+    return {
+        "batch": batch_size,
+        "seq q/s": round(seq_rate),
+        "batch q/s": round(bat_rate),
+        "speedup": round(bat_rate / seq_rate, 2),
+        "sweeps": stats.sweeps,
+        "prefetched": stats.prefetched_cells,
+        "identical": identical,
+    }
+
+
 @pytest.fixture(scope="module")
 def e15_rows(e15_workload, report_table):
     db, all_queries = e15_workload
-    rows = []
-    for batch_size in BATCH_SIZES:
-        queries = all_queries[:batch_size]
-        seq_rate, seq_results, _ = _best_rate(
-            lambda index: [index.query_packed(q) for q in queries], batch_size, db
-        )
-        bat_rate, bat_results, bat_index = _best_rate(
-            lambda index: index.query_batch(queries), batch_size, db
-        )
-        identical = all(
-            s.answer_index == b.answer_index
-            and s.probes == b.probes
-            and s.rounds == b.rounds
-            and s.probes_per_round == b.probes_per_round
-            for s, b in zip(seq_results, bat_results)
-        )
-        stats = bat_index.last_batch_stats
-        rows.append(
-            {
-                "batch": batch_size,
-                "seq q/s": round(seq_rate),
-                "batch q/s": round(bat_rate),
-                "speedup": round(bat_rate / seq_rate, 2),
-                "sweeps": stats.sweeps,
-                "prefetched": stats.prefetched_cells,
-                "identical": identical,
-            }
-        )
+    rows = [_measure(db, all_queries[:b], INDEX_SPEC) for b in BATCH_SIZES]
     report_table(
         f"E15: batched vs sequential throughput (n={N}, d={D}, k={K})", rows
     )
     return rows
+
+
+@pytest.fixture(scope="module")
+def e15_lsh_row(e15_workload, report_table):
+    db, all_queries = e15_workload
+    row = _measure(db, all_queries[:LSH_BATCH], LSH_SPEC)
+    report_table(
+        f"E15: batched vs sequential throughput, lsh nonadaptive (n={N}, d={D})",
+        [row],
+    )
+    return row
 
 
 def test_e15_batch_identical_to_sequential(e15_rows):
@@ -121,6 +140,15 @@ def test_e15_speedup_at_256(e15_rows):
 def test_e15_speedup_holds_at_1024(e15_rows):
     row = next(r for r in e15_rows if r["batch"] == 1024)
     assert row["speedup"] >= 3.0, f"expected >= 3x at batch 1024, got {row['speedup']}x"
+
+
+def test_e15_lsh_batch_identical_to_sequential(e15_lsh_row):
+    assert e15_lsh_row["identical"]
+
+
+def test_e15_lsh_speedup_at_256(e15_lsh_row):
+    speedup = e15_lsh_row["speedup"]
+    assert speedup >= 2.0, f"expected lsh >= 2x at batch 256, got {speedup}x"
 
 
 def test_e15_query_batch_wallclock(benchmark, e15_workload):

@@ -33,7 +33,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.lsh import LSHParams, _BucketWord, level_sizing, sampled_bits_hash
+from repro.baselines import lsh
+from repro.baselines.lsh import LSHParams, _BucketKeys, _BucketWord, level_sizing
 from repro.cellprobe.accounting import ProbeAccountant
 from repro.cellprobe.plan import PlanDraft, QueryPlan, run_query_plan
 from repro.cellprobe.scheme import CellProbingScheme, SchemeSizeReport
@@ -104,9 +105,9 @@ class _PartLSH:
                 positions = rng.choice(d, size=min(K, d), replace=False)
                 self.positions[(i, t)] = positions
                 buckets: Dict[int, _BucketWord] = {}
-                keys = sampled_bits_hash(database.words[indices], positions)
+                keys = lsh.sampled_bits_hash(database.words[indices], positions)
                 for local, key in enumerate(keys):
-                    bucket = buckets.setdefault(int(key), _BucketWord())
+                    bucket = buckets.setdefault(key, _BucketWord())
                     global_idx = int(indices[local])
                     if len(bucket.entries) < params.bucket_capacity:
                         bucket.entries.append((global_idx, database.row(global_idx)))
@@ -122,14 +123,16 @@ class _PartLSH:
                 self.tables[(i, t)] = table
                 self.total_cells += n_p
 
-    def requests(self, x: np.ndarray) -> List[ProbeRequest]:
-        """All of this part's bucket probes for one query (one round)."""
+    def requests(self, x: np.ndarray, keys: _BucketKeys) -> List[ProbeRequest]:
+        """All of this part's bucket probes for one query (one round);
+        ``keys`` hashes each table for the whole batch in batch mode."""
+        point = np.asarray(x, dtype=np.uint64)
+        row = point.tobytes()
         out: List[ProbeRequest] = []
         for i in range(self.levels + 1):
             _, L, _ = self.level_meta[i]
             for t in range(L):
-                key = int(sampled_bits_hash(np.asarray(x, dtype=np.uint64)[None, :],
-                                       self.positions[(i, t)])[0])
+                key = keys.key((self.part_id, i, t), self.positions[(i, t)], point, row)
                 out.append(ProbeRequest(self.tables[(i, t)], key))
         return out
 
@@ -198,6 +201,7 @@ class DataDependentLSHScheme(CellProbingScheme):
             word_size_bits=1 + max(1, params.parts.bit_length()),
             content_fn=self._dispatch_content,
         )
+        self._keys = _BucketKeys()
 
     def _dispatch_content(self, address: tuple) -> IntWord:
         """The data-dependent hash: part of the sketch-nearest pivot."""
@@ -251,6 +255,15 @@ class DataDependentLSHScheme(CellProbingScheme):
     def make_accountant(self) -> ProbeAccountant:
         return ProbeAccountant(max_rounds=2)
 
+    def begin_query(self) -> None:
+        self._keys.reset()
+
+    def batch_prepare(self, batch: np.ndarray) -> None:
+        """Enter batch mode: each part's hash tables are hashed for the
+        whole batch in one call per table, the first time any query
+        dispatched to that part probes them."""
+        self._keys.enter(batch)
+
     def query(self, x: np.ndarray) -> QueryResult:
         return run_query_plan(self, x)
 
@@ -262,7 +275,7 @@ class DataDependentLSHScheme(CellProbingScheme):
         dispatch = contents[0]
         assert isinstance(dispatch, IntWord)
         part = self.parts[dispatch.value]
-        contents = yield part.requests(x)
+        contents = yield part.requests(x, self._keys)
         best_idx: Optional[int] = None
         best_dist: Optional[int] = None
         for bucket in contents:
@@ -283,7 +296,7 @@ class DataDependentLSHScheme(CellProbingScheme):
         """Exact probe count for a query: 1 dispatch + the part's buckets."""
         address = tuple(int(v) for v in self._dispatch_sketch.apply(x))
         part = self.parts[self.dispatch_table.read(address).value]
-        return 1 + len(part.requests(x))
+        return 1 + len(part.requests(x, self._keys))
 
     def size_report(self) -> SchemeSizeReport:
         part_cells = sum(p.total_cells for p in self.parts)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cellprobe.accounting import ProbeAccountant
-from repro.cellprobe.plan import PlanDraft, QueryPlan, run_query_plan
+from repro.cellprobe.plan import BatchAddressPrimer, PlanDraft, QueryPlan, run_query_plan
 from repro.cellprobe.scheme import CellProbingScheme, SchemeSizeReport
 from repro.cellprobe.session import ProbeRequest
 from repro.cellprobe.table import DictTable
@@ -43,23 +43,64 @@ from repro.utils.rng import RngTree
 __all__ = ["LSHParams", "LSHScheme", "sampled_bits_hash"]
 
 
-def sampled_bits_hash(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Hash keys for a packed batch under bit sampling.
+def sampled_bits_hash(words: np.ndarray, positions: np.ndarray) -> List[int]:
+    """Hash keys for a packed ``(B, W)`` batch under bit sampling.
 
-    Gathers the sampled bit positions of every row (vectorized shifts) and
-    folds them into arbitrary-precision integer keys, 64 bits at a time.
-    Shared by the classic and data-dependent LSH baselines.
+    Row ``q``'s key is the Python int ``Σ_j bit(words[q], positions[j]) << j``.
+    One gather (``np.take``) pulls the sampled bits of every row out of the
+    unpacked batch, ``np.packbits`` (little bit order) packs them into
+    ``⌈K/8⌉`` fixed-width bytes per row, and one ``int.from_bytes`` per row
+    reads the key back.  Shared by the classic and data-dependent LSH
+    baselines, whose bucket directories are keyed by these ints.
     """
-    word_idx = (positions // 64).astype(np.int64)
-    bit_idx = (positions % 64).astype(np.uint64)
-    bits = (words[:, word_idx] >> bit_idx[None, :]) & np.uint64(1)
-    keys = np.zeros(bits.shape[0], dtype=object)
-    for start in range(0, bits.shape[1], 64):
-        chunk = bits[:, start : start + 64]
-        weights = np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64)
-        folded = (chunk * weights[None, :]).sum(axis=1, dtype=np.uint64)
-        keys = keys + (np.array([int(v) for v in folded], dtype=object) << start)
-    return keys
+    # Little-endian words: byte b of the row holds bits 8b..8b+7.
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    packed = np.packbits(bits.take(positions, axis=1), axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [
+        int.from_bytes(data[q * width : (q + 1) * width], "little")
+        for q in range(packed.shape[0])
+    ]
+
+
+class _BucketKeys:
+    """Per-query bucket keys of one scheme, batched table by table.
+
+    In batch mode (:meth:`enter`) the first key asked for under a tag (one
+    hash table) is computed for *every* batch row in a single
+    :func:`sampled_bits_hash` call through :class:`BatchAddressPrimer`, so
+    a batch costs one hash call per table it touches and tables no query
+    probes are never hashed.  Outside batch mode each key is hashed on its
+    own and nothing is cached.  :meth:`reset` drops the cache, so it never
+    outlives a batch.
+    """
+
+    def __init__(self) -> None:
+        self._primer = BatchAddressPrimer()
+        self._cache: Dict[tuple, int] = {}
+
+    def reset(self) -> None:
+        self._cache.clear()
+        self._primer.reset()
+
+    def enter(self, batch: np.ndarray) -> None:
+        self._primer.enter(batch)
+
+    def key(self, tag: tuple, positions: np.ndarray, x: np.ndarray, row: bytes) -> int:
+        """Bucket key of query ``x`` (raw bytes ``row``) in table ``tag``."""
+        key = self._cache.get((tag, row))
+        if key is None and self._primer.prime(
+            tag,
+            lambda points: sampled_bits_hash(points, positions),
+            self._cache,
+            lambda point_bytes: (tag, point_bytes),
+        ):
+            key = self._cache.get((tag, row))
+        if key is None:  # sequential query, or a point outside the batch
+            key = sampled_bits_hash(x[None, :], positions)[0]
+        return key
 
 
 @dataclass(frozen=True)
@@ -168,6 +209,7 @@ class LSHScheme(CellProbingScheme):
         self._positions: Dict[Tuple[int, int], np.ndarray] = {}
         self._tables: Dict[Tuple[int, int], DictTable] = {}
         self._total_cells = 0
+        self._keys = _BucketKeys()
         for i in range(self.levels + 1):
             r = self.alpha**i
             K, L, rho = level_sizing(n, d, r, params)
@@ -181,10 +223,10 @@ class LSHScheme(CellProbingScheme):
         d = self.database.d
         positions = rng.choice(d, size=min(K, d), replace=False)
         self._positions[(level, t)] = positions
-        keys = self._hash_batch(self.database.words, positions)
+        keys = sampled_bits_hash(self.database.words, positions)
         buckets: Dict[int, _BucketWord] = {}
         for idx, key in enumerate(keys):
-            bucket = buckets.setdefault(int(key), _BucketWord())
+            bucket = buckets.setdefault(key, _BucketWord())
             if len(bucket.entries) < self.params.bucket_capacity:
                 bucket.entries.append((idx, self.database.row(idx)))
             else:
@@ -198,10 +240,6 @@ class LSHScheme(CellProbingScheme):
         )
         self._tables[(level, t)] = table
         self._total_cells += table.logical_cells
-
-    @staticmethod
-    def _hash_batch(words: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        return sampled_bits_hash(words, positions)
 
     # -- persistence ---------------------------------------------------------
     def export_arrays(self) -> Dict[str, np.ndarray]:
@@ -232,17 +270,19 @@ class LSHScheme(CellProbingScheme):
                     "disagree with the scheme rebuilt from the manifest seed"
                 )
 
-    def _hash_query(self, level: int, t: int, x: np.ndarray) -> int:
-        key = self._hash_batch(
-            np.asarray(x, dtype=np.uint64)[None, :], self._positions[(level, t)]
-        )
-        return int(key[0])
-
     # -- querying ------------------------------------------------------------
     def _level_requests(self, level: int, x: np.ndarray) -> List[ProbeRequest]:
+        """One bucket probe per table of ``level``.  In batch mode each
+        table is hashed for the whole batch on first use (see
+        :class:`_BucketKeys`)."""
         _, L, _ = self._level_meta[level]
+        point = np.asarray(x, dtype=np.uint64)
+        row = point.tobytes()
         return [
-            ProbeRequest(self._tables[(level, t)], self._hash_query(level, t, x))
+            ProbeRequest(
+                self._tables[(level, t)],
+                self._keys.key((level, t), self._positions[(level, t)], point, row),
+            )
             for t in range(L)
         ]
 
@@ -264,6 +304,15 @@ class LSHScheme(CellProbingScheme):
         if self.mode == "nonadaptive":
             return ProbeAccountant(max_rounds=1)
         return ProbeAccountant()
+
+    def begin_query(self) -> None:
+        self._keys.reset()
+
+    def batch_prepare(self, batch: np.ndarray) -> None:
+        """Enter batch mode: each hash table is hashed for the whole batch
+        in one call, the first time any query probes it (so adaptive mode
+        hashes only the levels its binary search visits)."""
+        self._keys.enter(batch)
 
     def query(self, x: np.ndarray) -> QueryResult:
         return run_query_plan(self, x)

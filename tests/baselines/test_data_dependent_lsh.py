@@ -7,7 +7,9 @@ from repro.baselines.data_dependent_lsh import (
     DataDependentLSHParams,
     DataDependentLSHScheme,
 )
+from repro.baselines import lsh
 from repro.baselines.lsh import LSHParams, LSHScheme
+from repro.service import BatchQueryEngine
 from repro.workloads.spec import WorkloadSpec, make_workload
 
 
@@ -93,3 +95,27 @@ class TestSizing:
 
     def test_k_is_two(self, clustered):
         assert _scheme(clustered.database).k == 2
+
+
+class TestBatchHashing:
+    def test_batch_hashes_each_probed_table_once(self, clustered, monkeypatch):
+        """A batch hashes every table of every dispatched-to part in one
+        call for the whole batch, and answers like the sequential loop."""
+        db, queries = clustered.database, clustered.queries
+        oracle, scheme = _scheme(db), _scheme(db)
+        calls = []
+        real = lsh.sampled_bits_hash
+
+        def counting(words, positions):
+            calls.append(words.shape[0])
+            return real(words, positions)
+
+        monkeypatch.setattr(lsh, "sampled_bits_hash", counting)
+        batch = BatchQueryEngine(scheme).run(queries)
+        parts = {r.meta["part"] for r in batch}
+        assert len(calls) == sum(len(scheme.parts[p].tables) for p in parts)
+        assert all(rows == len(queries) for rows in calls)
+        for q, b in zip(queries, batch, strict=True):
+            s = oracle.query(q)
+            assert (s.answer_index, s.probes, s.probes_per_round) == (
+                b.answer_index, b.probes, b.probes_per_round)
