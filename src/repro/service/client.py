@@ -13,7 +13,9 @@ serve smoke test is exactly::
 
 It talks to a single ``repro serve`` process, a ``repro shard-serve``
 replica, or a ``repro route`` router interchangeably — the router speaks
-the same protocol (``docs/DISTRIBUTED.md``).
+the same protocol (``docs/DISTRIBUTED.md``).  Query rows always go out
+in the packed form of :mod:`repro.service.wire` (base64 of the packed
+words); inserts send 0/1 lists.
 
 Responses may arrive out of order when requests are pipelined (the
 server handles each line as its own task); the client parks non-matching
@@ -40,6 +42,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
+
+from repro.hamming.packing import pack_bits
+from repro.service.wire import encode_packed
 
 __all__ = [
     "RemoteResult",
@@ -101,8 +106,9 @@ class RemoteResult:
         )
 
 
-def _coerce_bit_rows(points) -> List[List[int]]:
-    """Bit rows as JSON-able int lists; packed uint64 input is refused."""
+def _bit_array(points) -> np.ndarray:
+    """Bit rows as a validated ``(m, d)`` 0/1 array; packed uint64 input
+    and non-integer or non-0/1 values are refused."""
     arr = np.asarray(points)
     if arr.dtype == np.uint64:
         raise ValueError(
@@ -111,7 +117,20 @@ def _coerce_bit_rows(points) -> List[List[int]]:
         )
     if arr.ndim == 1:
         arr = arr[None, :]
-    return [[int(b) for b in row] for row in arr]
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValueError(f"bit rows need shape (m, d) with m, d >= 1, got {arr.shape}")
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"bits must be integers 0/1, got dtype {arr.dtype}")
+    if arr.min() < 0 or arr.max() > 1:
+        raise ValueError("bits must be 0 or 1")
+    return arr.astype(np.uint8, copy=False)
+
+
+def _coerce_bit_rows(points) -> Dict[str, object]:
+    """Query rows in the packed wire form (:mod:`repro.service.wire`)."""
+    arr = _bit_array(points)
+    d = arr.shape[1]
+    return encode_packed(pack_bits(arr, d), d)
 
 
 class ServiceClient:
@@ -226,15 +245,10 @@ class ServiceClient:
     # -- verbs -------------------------------------------------------------
     def query(self, bits, timeout: Optional[float] = None) -> RemoteResult:
         """Answer one query given as a length-``d`` 0/1 bit vector."""
-        arr = np.asarray(bits)
-        if arr.dtype == np.uint64:
-            raise ValueError(
-                "the wire protocol carries bit vectors, not packed words; "
-                "unpack with repro.hamming.packing.unpack_bits first"
-            )
-        return RemoteResult.from_response(
-            self._request("query", timeout=timeout, bits=[int(b) for b in arr])
-        )
+        if np.ndim(bits) != 1:
+            raise ValueError(f"'query' takes one bit vector, got shape {np.shape(bits)}")
+        rows = _coerce_bit_rows(bits)
+        return RemoteResult.from_response(self._request("query", timeout=timeout, **rows))
 
     def query_batch(self, queries, timeout: Optional[float] = None) -> List[RemoteResult]:
         """Answer a batch of bit-vector queries in one request.
@@ -243,7 +257,7 @@ class ServiceClient:
         back in input order, each bitwise-identical to a lone ``query``.
         """
         rows = _coerce_bit_rows(queries)
-        response = self._request("query_batch", timeout=timeout, queries=rows)
+        response = self._request("query_batch", timeout=timeout, **rows)
         return [RemoteResult.from_response(r) for r in response["results"]]
 
     def insert(self, points, timeout: Optional[float] = None) -> List[int]:
@@ -254,7 +268,7 @@ class ServiceClient:
         complete against the old state, later ones see the new points.
         """
         response = self._request(
-            "insert", timeout=timeout, points=_coerce_bit_rows(points)
+            "insert", timeout=timeout, points=_bit_array(points).tolist()
         )
         return [int(i) for i in response["ids"]]
 
@@ -302,10 +316,9 @@ class ServiceClient:
         """What is being served: index description + batching policy."""
         response = self._request("info", timeout=timeout)
         info = {"index": response["index"], "policy": response.get("policy")}
-        if "replication" in response:
-            info["replication"] = response["replication"]
-        if "cluster" in response:
-            info["cluster"] = response["cluster"]
+        for key in ("replication", "cluster", "row_forms"):
+            if key in response:
+                info[key] = response[key]
         return info
 
     def ping(self, timeout: Optional[float] = None) -> bool:

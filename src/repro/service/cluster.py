@@ -46,8 +46,6 @@ from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.mutable import coerce_delete_ids
 from repro.hamming.kernels import active_kernel
 from repro.service.replica import (
@@ -57,6 +55,12 @@ from repro.service.replica import (
 )
 from repro.service.server import WIRE_LINE_LIMIT, _connection_loop, _jsonable
 from repro.service.wal import WriteAheadLog
+from repro.service.wire import (
+    ROW_FORMS,
+    bit_rows_from_json,
+    encode_packed,
+    read_query_rows,
+)
 
 __all__ = [
     "ClusterError",
@@ -709,22 +713,30 @@ class ShardRouter:
             "meta": meta,
         }
 
-    def _check_query(self, bits) -> None:
-        if not isinstance(bits, list) or not bits:
-            raise ValueError("'query' needs a 'bits' array of 0/1 values")
-        if len(bits) != self.d:
-            raise ValueError(
-                f"query has {len(bits)} bits, index dimension is {self.d}"
-            )
+    def _forward_rows(self, request: dict) -> Tuple[int, dict]:
+        """Validate a read's query rows once, before fan-out.
 
-    async def query(self, bits) -> dict:
-        """One query through every shard; best true distance wins."""
-        self._check_query(bits)
+        Returns the row count and the fields every shard receives: a
+        packed request's ``packed`` string itself (never re-encoded), or
+        list rows packed once here.
+        """
+        rows = read_query_rows(request, self.d)
+        if "packed" in request:
+            return len(rows), {"packed": request["packed"], "d": self.d}
+        return len(rows), encode_packed(rows, self.d)
+
+    async def query(self, request: dict) -> dict:
+        """One query through every shard; best true distance wins.
+
+        ``request`` is the wire request: its ``packed``/``d`` or
+        ``bits`` fields carry the row (``repro.service.wire``).
+        """
+        _, fields = self._forward_rows(request)
         async with self._lock.read_locked():
             offsets = self._offsets()
             responses = await asyncio.gather(
                 *(
-                    self._shard_read(si, "query", {"bits": bits}, hedge=True)
+                    self._shard_read(si, "query", fields, hedge=True)
                     for si in range(self.num_shards)
                 )
             )
@@ -733,26 +745,23 @@ class ShardRouter:
                 responses, offsets, self._inner_scheme, self.scheme_label
             )
 
-    async def query_batch(self, queries) -> List[dict]:
-        """A whole batch through every shard's batched path, then merge."""
-        if not isinstance(queries, list) or not queries:
-            raise ValueError(
-                "'query_batch' needs a non-empty 'queries' list of bit rows"
-            )
-        for bits in queries:
-            self._check_query(bits)
+    async def query_batch(self, request: dict) -> List[dict]:
+        """A whole batch through every shard's batched path, then merge.
+
+        ``request`` carries the rows as ``packed``/``d`` or ``queries``;
+        a refused batch reaches no shard.
+        """
+        count, fields = self._forward_rows(request)
         async with self._lock.read_locked():
             offsets = self._offsets()
             per_shard = await asyncio.gather(
                 *(
-                    self._shard_read(
-                        si, "query_batch", {"queries": queries}, hedge=True
-                    )
+                    self._shard_read(si, "query_batch", fields, hedge=True)
                     for si in range(self.num_shards)
                 )
             )
             self._counters["query_batches"] += 1
-            self._counters["batched_queries"] += len(queries)
+            self._counters["batched_queries"] += count
             return [
                 self._merge_one(
                     [per_shard[si]["results"][qi] for si in range(self.num_shards)],
@@ -760,40 +769,28 @@ class ShardRouter:
                     self._inner_scheme,
                     self.scheme_label,
                 )
-                for qi in range(len(queries))
+                for qi in range(count)
             ]
 
     # -- writes ------------------------------------------------------------
     async def insert(self, points) -> dict:
-        """Insert bit rows; greedy per-point routing to the emptiest shard.
+        """Insert bit rows (a JSON list of 0/1 rows); greedy per-point
+        routing to the emptiest shard.
 
         Routing replicates ``ShardedANNIndex.insert`` against the
         mirror: each point goes to the shard with the fewest live rows
         at that moment (ties → smallest shard index), and returned
         global ids are computed against the post-insert offsets.
         """
-        arr = np.asarray(points, dtype=np.uint8)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != self.d:
-            raise ValueError(
-                f"bit rows need shape (m, {self.d}), got {tuple(arr.shape)}"
-            )
+        arr = bit_rows_from_json(points, self.d, "'insert'")
         async with self._lock.write_locked():
-            if arr.shape[0] == 0:
-                return {
-                    "ok": True,
-                    "ids": [],
-                    "live": self._live_total(),
-                    "id_space": self._id_space(),
-                }
             live = [mirror.live for mirror in self._mirror]
             routed: List[List[list]] = [[] for _ in range(self.num_shards)]
             routing: List[Tuple[int, int]] = []
             for i in range(arr.shape[0]):
                 si = min(range(self.num_shards), key=lambda s: (live[s], s))
                 routing.append((si, len(routed[si])))
-                routed[si].append([int(b) for b in arr[i]])
+                routed[si].append(arr[i].tolist())
                 live[si] += 1
             pending = [
                 (si, self._append_log(si, "insert", {"points": batch}), batch)
@@ -1065,6 +1062,7 @@ class ShardRouter:
                 },
                 "policy": None,
                 "cluster": self._topology(),
+                "row_forms": ROW_FORMS,
             }
 
     def _topology(self) -> dict:
@@ -1130,19 +1128,12 @@ async def _handle_router_request(
         request_id = request.get("id")
         op = request.get("op")
         if op == "query":
-            bits = request.get("bits")
-            if bits is None:
-                raise ValueError("'query' needs a 'bits' array of 0/1 values")
-            response = await router.query(bits)
+            response = await router.query(request)
         elif op == "query_batch":
-            queries = request.get("queries")
-            results = await router.query_batch(queries)
+            results = await router.query_batch(request)
             response = {"ok": True, "results": results}
         elif op == "insert":
-            points = request.get("points")
-            if not points:
-                raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            response = await router.insert(points)
+            response = await router.insert(request.get("points"))
         elif op == "delete":
             ids = request.get("ids")
             if not ids:

@@ -59,6 +59,7 @@ from repro.persistence import (
     IndexPersistenceError,
     read_manifest,
 )
+from repro.service.wire import ROW_FORMS, bit_rows_from_json, read_query_rows
 
 __all__ = [
     "AsyncANNService",
@@ -679,8 +680,10 @@ def _result_response(result, distance: Optional[int] = None) -> Dict[str, object
     }
 
 
-def _packed_query(service: AsyncANNService, bits) -> np.ndarray:
-    return service._pack_query(np.asarray(bits, dtype=np.uint8))
+def _packed_query(service: AsyncANNService, request: dict) -> np.ndarray:
+    """A read request's query rows as ``(m, W)`` packed words — either
+    wire form, validated against the served dimension."""
+    return read_query_rows(request, service.index.d)
 
 
 def _query_distance(row: np.ndarray, result) -> Optional[int]:
@@ -750,22 +753,14 @@ async def _handle_request(
         request_id = request.get("id")
         op = request.get("op")
         if op == "query":
-            bits = request.get("bits")
-            if bits is None:
-                raise ValueError("'query' needs a 'bits' array of 0/1 values")
-            row = _packed_query(service, bits)
+            (row,) = _packed_query(service, request)
             result = await service.query(row)
             response = _result_response(result, distance=_query_distance(row, result))
         elif op == "query_batch":
-            queries = request.get("queries")
-            if not isinstance(queries, list) or not queries:
-                raise ValueError(
-                    "'query_batch' needs a non-empty 'queries' list of bit rows"
-                )
-            # Validate every row before submitting any, so one malformed
-            # row fails the whole batch without half-submitting it (the
-            # same atomicity ANNIndex.query_batch has).
-            rows = [_packed_query(service, bits) for bits in queries]
+            # Every row is validated before any is submitted, so one
+            # malformed row fails the whole batch without half-submitting
+            # it (the same atomicity ANNIndex.query_batch has).
+            rows = _packed_query(service, request)
             results = await asyncio.gather(*(service.query(row) for row in rows))
             response = {
                 "ok": True,
@@ -775,10 +770,7 @@ async def _handle_request(
                 ],
             }
         elif op == "insert":
-            points = request.get("points")
-            if not points:
-                raise ValueError("'insert' needs a non-empty 'points' list of bit rows")
-            arr = np.asarray(points, dtype=np.uint8)
+            arr = bit_rows_from_json(request.get("points"), service.index.d, "'insert'")
             seq = request.get("seq")
             if seq is None:
                 ids = await service.insert(arr)
@@ -895,6 +887,7 @@ async def _handle_request(
                     "max_wait_ms": service.max_wait_ms,
                 },
                 "replication": _replication_info(state),
+                "row_forms": ROW_FORMS,
             }
             residency = _residency_info(service.index)
             if residency is not None:

@@ -125,9 +125,26 @@ def test_garbage_bytes_get_errors_not_wedges(endpoint, junk):
     assert_still_serving(endpoint)
 
 
+def _odd_bit_frames():
+    """Length-``D`` rows whose first bit is a float, a string or a bool:
+    refused, never read as 1 (or 0)."""
+    frames = []
+    for odd in (1.7, 0.6, "1", True):
+        row = [odd] + [0] * (D - 1)
+        for request in (
+            {"op": "query", "bits": row},
+            {"op": "query_batch", "queries": [row]},
+            {"op": "insert", "points": [row]},
+        ):
+            frame = json.dumps(request).encode()
+            frames.append(pytest.param(frame, id=f"{request['op']}-bit-{odd!r}"))
+    return frames
+
+
 @pytest.mark.parametrize(
     "frame",
     [
+        *_odd_bit_frames(),
         b'{"op": "query", "bits": [1, 0',  # truncated JSON
         b'{"op": "query"}',  # missing bits
         b'{"op": "query", "bits": "nope"}',  # wrong type
